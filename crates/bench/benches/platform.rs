@@ -230,33 +230,6 @@ fn bench_degraded_pipeline(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_corpus_miners(c: &mut Criterion) {
-    use wf_platform::{cluster_documents, corpus_stats, find_duplicates, DedupConfig};
-    let mut group = c.benchmark_group("corpus_miners");
-    group.sample_size(20);
-    let store = DataStore::new(2).unwrap();
-    for i in 0..200 {
-        let body = if i % 3 == 0 {
-            format!("camera lens battery zoom pictures in review {}", i / 3)
-        } else {
-            format!("song album guitar lyrics melody in review {}", i / 3)
-        };
-        store.insert(Entity::new(
-            format!("http://site-{}.example/p{i}", i % 5),
-            SourceKind::Web,
-            body,
-        ));
-    }
-    group.bench_function("dedup_minhash/200_docs", |b| {
-        b.iter(|| find_duplicates(&store, &DedupConfig::default()))
-    });
-    group.bench_function("kmeans/200_docs_k2", |b| {
-        b.iter(|| cluster_documents(&store, 2, 10))
-    });
-    group.bench_function("stats/200_docs", |b| b.iter(|| corpus_stats(&store, 10)));
-    group.finish();
-}
-
 fn bench_mode_b_latency(c: &mut Criterion) {
     use wf_corpus::{pharma_web, WebConfig};
     use wf_platform::{Cluster, Ingestor, RawDocument};
@@ -317,7 +290,6 @@ criterion_group!(
     bench_regex,
     bench_pipeline_parallelism,
     bench_degraded_pipeline,
-    bench_corpus_miners,
     bench_mode_b_latency
 );
 criterion_main!(benches);

@@ -51,7 +51,6 @@ impl ParsedArgs {
     }
 
     /// True when a boolean flag was given.
-    #[allow(dead_code)] // parser API surface; exercised in tests and future commands
     pub fn flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
     }

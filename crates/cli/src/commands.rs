@@ -10,10 +10,10 @@ use std::path::Path;
 use std::sync::Arc;
 use wf_features::{FeatureExtractor, Selection, CHI2_95};
 use wf_platform::{
-    default_slos, load_store, parse_query, render_scoreboard, save_store, Cluster, DataStore,
-    DoctorReport, DurableStorage, FaultPlan, HealthEngine, Indexer, Ingestor, Level, LogFilter,
-    MinerPipeline, NodeHealth, PipelineStats, Profile, RawDocument, RunDiff, SourceKind, Telemetry,
-    TelemetrySnapshot, TimeSeriesStore, DEFAULT_SCRAPE_INTERVAL_MS, DEFAULT_TIMELINE_CAPACITY,
+    default_slos, parse_query, render_scoreboard, Cluster, DataStore, DoctorReport, DurableStorage,
+    FaultPlan, HealthEngine, Indexer, Ingestor, Level, LogFilter, MinerPipeline, NodeHealth,
+    PipelineStats, Profile, RawDocument, RunDiff, SourceKind, Telemetry, TelemetrySnapshot,
+    TimeSeriesStore, DEFAULT_SCRAPE_INTERVAL_MS, DEFAULT_TIMELINE_CAPACITY,
 };
 use wf_sentiment::{
     mention_polarities, AdhocSentimentMiner, SentimentEntityMiner, SentimentMiner,
@@ -23,6 +23,9 @@ use wf_types::{NodeId, Polarity, RetryPolicy};
 
 /// Dispatches a parsed command line. Returns the report to print.
 pub fn run(args: &ParsedArgs) -> Result<String, String> {
+    if args.flag("help") {
+        return Ok(usage());
+    }
     match args.command.as_str() {
         "analyze" => analyze(args),
         "entities" => entities(args),
@@ -59,21 +62,21 @@ USAGE:
   wfsm features <D_PLUS.txt> <D_MINUS.txt> [--top N]
       Feature terms by bBNP + likelihood ratio; inputs are one document
       per line.
-  wfsm mine     --input DOCS.txt --snapshot OUT.jsonl [--subjects A,B]
+  wfsm mine     --input DOCS.txt --data-dir DIR [--subjects A,B]
                 [--chaos-seed S] [--fail-rate P] [--metrics M.json]
-                [--data-dir DIR] [--explain]
-      Run the mining pipeline over one-document-per-line input and save
-      an annotated store snapshot (named-entity mode when no subjects).
+                [--explain]
+      Run the mining pipeline over one-document-per-line input and
+      persist the annotated store under DIR (named-entity mode when no
+      subjects). Mutations are write-ahead logged under DIR
+      (shard-NNN/{wal.log,snapshot.jsonl}): the raw corpus is
+      snapshotted after ingest and every mining annotation lands in the
+      WAL, ready for `wfsm query`, `wfsm search` and `wfsm recover`.
       With --chaos-seed, inject deterministic faults at probability P
       (default 0.05) and report retries / skipped shards. With --metrics,
       also write the run's telemetry snapshot as canonical JSON (same
       seed ⇒ byte-identical file). With --explain, index the mined store
       and print a per-plan-node query profile (postings scanned, sim-ms)
-      for representative boolean / phrase / range / regex queries. With
-      --data-dir, mutations are write-ahead logged under DIR
-      (shard-NNN/{wal.log,snapshot.jsonl}): the raw corpus is
-      snapshotted after ingest and every mining annotation lands in the
-      WAL, ready for `wfsm recover`.
+      for representative boolean / phrase / range / regex queries.
   wfsm metrics  --file M.json [--format table|json]
   wfsm metrics  --input DOCS.txt [--subjects A,B] [--chaos-seed S]
                 [--fail-rate P] [--format table|json]
@@ -81,13 +84,15 @@ USAGE:
       --metrics`, or from a fresh in-memory mining run — as a
       human-readable table (default) or canonical JSON (--format json;
       --json is accepted as an alias).
-  wfsm query    --snapshot OUT.jsonl --subject NAME [--polarity +|-]
-      Query a mined snapshot for a subject's sentiment-bearing sentences.
-  wfsm search   --snapshot OUT.jsonl --query 'camera AND (battery OR \"picture quality\")'
+  wfsm query    --data-dir DIR --subject NAME [--polarity +|-]
+      Query a data dir written by `mine` for a subject's
+      sentiment-bearing sentences. A shard that does not replay cleanly
+      is an error (inspect it with `wfsm recover`).
+  wfsm search   --data-dir DIR --query 'camera AND (battery OR \"picture quality\")'
                 [--explain]
-      Boolean/phrase/meta/concept/regex/range search over a snapshot's
-      index. With --explain, also print the executed query plan with
-      per-node postings scanned, pruning and simulated cost.
+      Boolean/phrase/meta/concept/regex/range search over a mined data
+      dir's index. With --explain, also print the executed query plan
+      with per-node postings scanned, pruning and simulated cost.
   wfsm trace    --input DOCS.txt [--subjects A,B] [--chaos-seed S]
                 [--fail-rate P] [--last N] [--format text|json|chrome]
       Run the mining pipeline in memory and export the flight recorder's
@@ -362,12 +367,13 @@ fn run_mine_pipeline(
 }
 
 fn mine(args: &ParsedArgs) -> Result<String, String> {
-    let snapshot = args.require("snapshot")?.to_string();
+    let dir = args.require("data-dir")?;
     let (store, stats, chaos_seed, fail_rate) = run_mine_pipeline(args)?;
-    let written = save_store(&store, Path::new(&snapshot)).map_err(|e| e.to_string())?;
     let mut out = format!(
-        "mined {} documents ({} failed); snapshot of {} entities written to {}\n",
-        stats.processed, stats.failed, written, snapshot
+        "mined {} documents ({} failed); {} entities persisted under {dir}\n",
+        stats.processed,
+        stats.failed,
+        store.len()
     );
     if let Some(seed) = chaos_seed {
         out.push_str(&format!(
@@ -382,10 +388,7 @@ fn mine(args: &ParsedArgs) -> Result<String, String> {
             .map(|s| (storage.wal_bytes(s), storage.snapshot_bytes(s)))
             .fold((0, 0), |(w, p), (a, b)| (w + a, p + b));
         out.push_str(&format!(
-            "durable: {} snapshot bytes + {} WAL bytes across 4 shards under {} (inspect with `wfsm recover`)\n",
-            snap,
-            wal,
-            args.opt("data-dir").unwrap_or_default()
+            "durable: {snap} snapshot bytes + {wal} WAL bytes across 4 shards (inspect with `wfsm recover`)\n"
         ));
     }
     if let Some(metrics_path) = args.opt("metrics") {
@@ -448,8 +451,16 @@ fn metrics(args: &ParsedArgs) -> Result<String, String> {
     }
 }
 
+/// Loads the store a `mine` run persisted under `dir`, rejecting a data
+/// dir whose WAL or snapshots do not replay cleanly.
+fn load_data_dir(dir: &str) -> Result<DataStore, String> {
+    DurableStorage::open_dir(Path::new(dir))
+        .and_then(|storage| storage.recover_store())
+        .map_err(|e| e.to_string())
+}
+
 fn query(args: &ParsedArgs) -> Result<String, String> {
-    let snapshot = args.require("snapshot")?;
+    let dir = args.require("data-dir")?;
     let subject = args.require("subject")?;
     let polarity = match args.opt("polarity") {
         None => None,
@@ -457,7 +468,7 @@ fn query(args: &ParsedArgs) -> Result<String, String> {
             Some(Polarity::parse(p).ok_or_else(|| format!("bad --polarity {p:?} (use + or -)"))?)
         }
     };
-    let store = load_store(Path::new(snapshot), 4).map_err(|e| e.to_string())?;
+    let store = load_data_dir(dir)?;
     let indexer = Indexer::new();
     store.for_each(|e| indexer.index_entity(e));
     let hits = SentimentQueryService::query(&indexer, &store, subject, polarity)
@@ -474,10 +485,10 @@ fn query(args: &ParsedArgs) -> Result<String, String> {
 }
 
 fn search(args: &ParsedArgs) -> Result<String, String> {
-    let snapshot = args.require("snapshot")?;
+    let dir = args.require("data-dir")?;
     let query_text = args.require("query")?;
     let query = parse_query(query_text).map_err(|e| e.to_string())?;
-    let store = load_store(Path::new(snapshot), 4).map_err(|e| e.to_string())?;
+    let store = load_data_dir(dir)?;
     let indexer = Indexer::new();
     store.for_each(|e| indexer.index_entity(e));
     let (docs, profile) = indexer.query_explained(&query).map_err(|e| e.to_string())?;
@@ -1296,14 +1307,13 @@ mod tests {
             "docs",
             "The Canon takes excellent pictures.\nThe Canon battery is terrible.\n",
         );
-        let mut snap = std::env::temp_dir();
-        snap.push(format!("wfsm-snap-{}.jsonl", std::process::id()));
+        let dir = temp_data_dir("roundtrip");
         let out = run_tokens(&[
             "mine",
             "--input",
             docs.to_str().unwrap(),
-            "--snapshot",
-            snap.to_str().unwrap(),
+            "--data-dir",
+            dir.to_str().unwrap(),
             "--subjects",
             "Canon",
         ])
@@ -1311,8 +1321,8 @@ mod tests {
         assert!(out.contains("mined 2 documents"), "{out}");
         let out = run_tokens(&[
             "query",
-            "--snapshot",
-            snap.to_str().unwrap(),
+            "--data-dir",
+            dir.to_str().unwrap(),
             "--subject",
             "Canon",
             "--polarity",
@@ -1322,7 +1332,7 @@ mod tests {
         assert!(out.contains("excellent pictures"), "{out}");
         assert!(out.contains("1 hit(s)"), "{out}");
         std::fs::remove_file(docs).ok();
-        std::fs::remove_file(snap).ok();
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -1332,15 +1342,14 @@ mod tests {
             "The Canon takes excellent pictures.\nThe Canon battery is terrible.\n\
              The Canon lens is sharp.\nThe Canon flash misfires.\n",
         );
-        let mut snap = std::env::temp_dir();
-        snap.push(format!("wfsm-chaos-{}.jsonl", std::process::id()));
+        let dir = temp_data_dir("chaos");
         let run = || {
             run_tokens(&[
                 "mine",
                 "--input",
                 docs.to_str().unwrap(),
-                "--snapshot",
-                snap.to_str().unwrap(),
+                "--data-dir",
+                dir.to_str().unwrap(),
                 "--subjects",
                 "Canon",
                 "--chaos-seed",
@@ -1355,7 +1364,7 @@ mod tests {
         assert!(first.contains("sim ms"), "{first}");
         assert_eq!(first, run(), "same seed must reproduce the same report");
         std::fs::remove_file(docs).ok();
-        std::fs::remove_file(snap).ok();
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -1365,8 +1374,7 @@ mod tests {
             "The Canon takes excellent pictures.\nThe Canon battery is terrible.\n\
              The Canon lens is sharp.\nThe Canon flash misfires.\n",
         );
-        let mut snap = std::env::temp_dir();
-        snap.push(format!("wfsm-msnap-{}.jsonl", std::process::id()));
+        let dir = temp_data_dir("metrics");
         let mut m1 = std::env::temp_dir();
         m1.push(format!("wfsm-m1-{}.json", std::process::id()));
         let mut m2 = std::env::temp_dir();
@@ -1376,8 +1384,8 @@ mod tests {
                 "mine",
                 "--input",
                 docs.to_str().unwrap(),
-                "--snapshot",
-                snap.to_str().unwrap(),
+                "--data-dir",
+                dir.to_str().unwrap(),
                 "--subjects",
                 "Canon",
                 "--chaos-seed",
@@ -1402,9 +1410,10 @@ mod tests {
         // and --json round-trips the exact bytes
         let json = run_tokens(&["metrics", "--file", m1.to_str().unwrap(), "--json"]).unwrap();
         assert_eq!(json.as_bytes(), j1.as_slice());
-        for p in [&docs, &snap, &m1, &m2] {
+        for p in [&docs, &m1, &m2] {
             std::fs::remove_file(p).ok();
         }
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -1435,7 +1444,7 @@ mod tests {
             "mine",
             "--input",
             "x",
-            "--snapshot",
+            "--data-dir",
             "y",
             "--fail-rate",
             "0.2",
@@ -1446,7 +1455,7 @@ mod tests {
             "mine",
             "--input",
             "x",
-            "--snapshot",
+            "--data-dir",
             "y",
             "--chaos-seed",
             "1",
@@ -1458,27 +1467,26 @@ mod tests {
     }
 
     #[test]
-    fn search_over_snapshot() {
+    fn search_over_data_dir() {
         let docs = temp_file(
             "searchdocs",
             "The Canon takes excellent pictures.\nThe song has a great chorus.\n",
         );
-        let mut snap = std::env::temp_dir();
-        snap.push(format!("wfsm-search-{}.jsonl", std::process::id()));
+        let dir = temp_data_dir("search");
         run_tokens(&[
             "mine",
             "--input",
             docs.to_str().unwrap(),
-            "--snapshot",
-            snap.to_str().unwrap(),
+            "--data-dir",
+            dir.to_str().unwrap(),
             "--subjects",
             "Canon",
         ])
         .unwrap();
         let out = run_tokens(&[
             "search",
-            "--snapshot",
-            snap.to_str().unwrap(),
+            "--data-dir",
+            dir.to_str().unwrap(),
             "--query",
             "excellent AND NOT chorus",
         ])
@@ -1486,15 +1494,15 @@ mod tests {
         assert!(out.contains("1 document(s)"), "{out}");
         let out = run_tokens(&[
             "search",
-            "--snapshot",
-            snap.to_str().unwrap(),
+            "--data-dir",
+            dir.to_str().unwrap(),
             "--query",
             "concept:sentiment:polarity=+",
         ])
         .unwrap();
         assert!(out.contains("1 document(s)"), "{out}");
         std::fs::remove_file(docs).ok();
-        std::fs::remove_file(snap).ok();
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -1504,14 +1512,13 @@ mod tests {
             "The Canon takes excellent pictures.\nThe Canon battery is terrible.\n\
              The Canon lens is sharp.\nThe Canon flash misfires.\n",
         );
-        let mut snap = std::env::temp_dir();
-        snap.push(format!("wfsm-explain-{}.jsonl", std::process::id()));
+        let dir = temp_data_dir("explain");
         let out = run_tokens(&[
             "mine",
             "--input",
             docs.to_str().unwrap(),
-            "--snapshot",
-            snap.to_str().unwrap(),
+            "--data-dir",
+            dir.to_str().unwrap(),
             "--subjects",
             "Canon",
             "--explain",
@@ -1527,7 +1534,7 @@ mod tests {
         // the range query actually selects the 0000..0002 line window
         assert!(out.contains("meta_range(line=[0000..0002])"), "{out}");
         std::fs::remove_file(docs).ok();
-        std::fs::remove_file(snap).ok();
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -1536,20 +1543,19 @@ mod tests {
             "searchexplain",
             "The Canon takes excellent pictures.\nThe song has a great chorus.\n",
         );
-        let mut snap = std::env::temp_dir();
-        snap.push(format!("wfsm-sexplain-{}.jsonl", std::process::id()));
+        let dir = temp_data_dir("sexplain");
         run_tokens(&[
             "mine",
             "--input",
             docs.to_str().unwrap(),
-            "--snapshot",
-            snap.to_str().unwrap(),
+            "--data-dir",
+            dir.to_str().unwrap(),
         ])
         .unwrap();
         let out = run_tokens(&[
             "search",
-            "--snapshot",
-            snap.to_str().unwrap(),
+            "--data-dir",
+            dir.to_str().unwrap(),
             "--query",
             "excellent AND NOT chorus",
             "--explain",
@@ -1560,7 +1566,7 @@ mod tests {
         assert!(out.contains("\nand "), "{out}");
         assert!(out.contains("term(excellent)"), "{out}");
         std::fs::remove_file(docs).ok();
-        std::fs::remove_file(snap).ok();
+        std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
@@ -1622,14 +1628,13 @@ mod tests {
     #[test]
     fn mine_metrics_to_unwritable_path_errors() {
         let docs = temp_file("metricbadpath", "one line\n");
-        let mut snap = std::env::temp_dir();
-        snap.push(format!("wfsm-badmetrics-{}.jsonl", std::process::id()));
+        let dir = temp_data_dir("badmetrics");
         let err = run_tokens(&[
             "mine",
             "--input",
             docs.to_str().unwrap(),
-            "--snapshot",
-            snap.to_str().unwrap(),
+            "--data-dir",
+            dir.to_str().unwrap(),
             "--metrics",
             "/nonexistent-dir/metrics.json",
         ])
@@ -1639,7 +1644,7 @@ mod tests {
             "{err}"
         );
         std::fs::remove_file(docs).ok();
-        std::fs::remove_file(snap).ok();
+        std::fs::remove_dir_all(dir).ok();
     }
 
     /// A scratch path for a durable data dir (not created; `at_dir`
@@ -1662,15 +1667,11 @@ mod tests {
              The Leica is excellent.\nThe Pentax is terrible.\n\
              The Fuji is excellent.\nThe Olympus is terrible.\n",
         );
-        let mut snap = std::env::temp_dir();
-        snap.push(format!("wfsm-minedurable-{}.jsonl", std::process::id()));
         let dir = temp_data_dir("minedurable");
         let out = run_tokens(&[
             "mine",
             "--input",
             docs.to_str().unwrap(),
-            "--snapshot",
-            snap.to_str().unwrap(),
             "--data-dir",
             dir.to_str().unwrap(),
         ])
@@ -1702,7 +1703,6 @@ mod tests {
         assert!(!first.contains("\"replayed\": 0"), "{first}");
 
         std::fs::remove_file(docs).ok();
-        std::fs::remove_file(snap).ok();
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1727,14 +1727,10 @@ mod tests {
         // a path under an existing *file* cannot be created even as root
         let blocker = temp_file("minedurblocker", "");
         let bad = blocker.join("sub");
-        let mut snap = std::env::temp_dir();
-        snap.push(format!("wfsm-minedurbad-{}.jsonl", std::process::id()));
         let err = run_tokens(&[
             "mine",
             "--input",
             docs.to_str().unwrap(),
-            "--snapshot",
-            snap.to_str().unwrap(),
             "--data-dir",
             bad.to_str().unwrap(),
         ])
@@ -1742,7 +1738,6 @@ mod tests {
         assert!(err.contains("cannot create data dir"), "{err}");
         std::fs::remove_file(docs).ok();
         std::fs::remove_file(blocker).ok();
-        std::fs::remove_file(snap).ok();
     }
 
     #[test]
@@ -1918,11 +1913,67 @@ mod tests {
     }
 
     #[test]
+    fn help_flag_shows_usage_instead_of_running() {
+        for command in ["serve", "profile", "mine"] {
+            let out = run_tokens(&[command, "--help"]).unwrap();
+            assert_eq!(out, usage(), "{command} --help");
+        }
+    }
+
+    #[test]
+    fn query_and_search_reject_a_missing_data_dir() {
+        let err =
+            run_tokens(&["query", "--data-dir", "/nonexistent", "--subject", "x"]).unwrap_err();
+        assert!(err.contains("not a wfsm data dir"), "{err}");
+        let err =
+            run_tokens(&["search", "--data-dir", "/nonexistent", "--query", "x"]).unwrap_err();
+        assert!(err.contains("not a wfsm data dir"), "{err}");
+    }
+
+    #[test]
+    fn query_rejects_a_corrupt_wal() {
+        let docs = temp_file(
+            "corruptdocs",
+            "The Canon takes excellent pictures.\nThe Canon battery is terrible.\n",
+        );
+        let dir = temp_data_dir("corrupt");
+        run_tokens(&[
+            "mine",
+            "--input",
+            docs.to_str().unwrap(),
+            "--data-dir",
+            dir.to_str().unwrap(),
+            "--subjects",
+            "Canon",
+        ])
+        .unwrap();
+        // flip the last payload byte of shard 0's WAL: its CRC no longer matches
+        let wal = dir.join("shard-000").join("wal.log");
+        let mut bytes = std::fs::read(&wal).unwrap();
+        *bytes.last_mut().unwrap() ^= 0x5A;
+        std::fs::write(&wal, bytes).unwrap();
+        let err = run_tokens(&[
+            "query",
+            "--data-dir",
+            dir.to_str().unwrap(),
+            "--subject",
+            "Canon",
+        ])
+        .unwrap_err();
+        assert!(
+            err.contains("shard 0 is corrupt") && err.contains("bad_crc"),
+            "{err}"
+        );
+        std::fs::remove_file(docs).ok();
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
     fn missing_options_error_cleanly() {
         assert!(run_tokens(&["analyze"]).unwrap_err().contains("--subjects"));
         assert!(run_tokens(&["query", "--subject", "x"])
             .unwrap_err()
-            .contains("--snapshot"));
+            .contains("--data-dir"));
         assert!(run_tokens(&["features"])
             .unwrap_err()
             .contains("positional"));

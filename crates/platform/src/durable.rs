@@ -18,7 +18,9 @@
 //!   entities, stopping at the last valid record: a torn tail, a CRC
 //!   mismatch, an undecodable payload or an LSN gap ends replay and the
 //!   invalid suffix is dropped (and repaired by
-//!   [`DurableStorage::repair_shard`]);
+//!   [`DurableStorage::repair_shard`]); [`DurableStorage::recover_store`]
+//!   does it for every shard and rejects any shard that did not replay
+//!   cleanly, which is how `wfsm query` / `wfsm search` load a data dir;
 //! - [`DurableStorage::inject_corruption`] damages the log or snapshot
 //!   at offsets drawn from the existing seeded [`FaultStream`]s, so
 //!   crash-recovery chaos suites are exactly as reproducible as the
@@ -1079,6 +1081,30 @@ impl DurableStorage {
             .map(|i| self.recover_shard(i as u32).map(|r| r.stats))
             .collect::<Result<Vec<_>>>()?;
         Ok(RecoveryReport { shards })
+    }
+
+    /// Replays every shard into a fresh [`DataStore`] with the same shard
+    /// count, keeping ids and versions. Read-only like
+    /// [`DurableStorage::recovery_report`], but strict: any shard whose
+    /// snapshot is truncated or whose WAL stops before end-of-log is an
+    /// error, so corrupt input is rejected instead of silently trimmed.
+    pub fn recover_store(&self) -> Result<DataStore> {
+        let store = DataStore::new(self.shards.len())?;
+        for shard in 0..self.shards.len() as u32 {
+            let recovery = self.recover_shard(shard)?;
+            let stats = &recovery.stats;
+            if stats.stop != StopReason::EndOfLog || stats.snapshot_truncated {
+                return Err(Error::Service(format!(
+                    "shard {shard} is corrupt (stop: {}, snapshot truncated: {}); see `wfsm recover`",
+                    stats.stop.label(),
+                    stats.snapshot_truncated
+                )));
+            }
+            for entity in recovery.entities {
+                store.restore_entity(entity);
+            }
+        }
+        Ok(store)
     }
 
     fn frames_of(bytes: &[u8]) -> Vec<(usize, usize, Option<u64>)> {

@@ -56,38 +56,28 @@
 //!   attributes regressions to counters or profile stage paths with a
 //!   machine-readable verdict.
 
-pub mod boilerplate;
 pub mod cluster;
-pub mod clustering;
-pub mod dedup;
 pub mod durable;
 pub mod entity;
 pub mod evlog;
 pub mod faults;
-pub mod geo;
 pub mod health;
 pub mod index;
 pub mod ingest;
 pub mod miner;
-pub mod pagerank;
-pub mod persist;
 pub mod postings;
 pub mod profile;
 pub mod query_parser;
 pub mod regex;
 pub mod rundiff;
 pub mod serving;
-pub mod stats;
 pub mod store;
 pub mod telemetry;
 pub mod timeseries;
 pub mod trace;
 pub mod vinci;
 
-pub use boilerplate::{TemplateConfig, TemplateDetector};
 pub use cluster::{Cluster, ClusterReport, IndexRebuildStats, NodeInfo, NodeRestart, NodeScore};
-pub use clustering::{cluster_documents, Clustering, ClusteringMiner};
-pub use dedup::{find_duplicates, DedupConfig, DuplicateDetector};
 pub use durable::{
     crc32, CorruptionKind, CorruptionOutcome, DurableStorage, FileSink, LogSink, MemorySink,
     RecoveryReport, ShardRecovery, ShardRecoveryStats, SnapshotStats, StopReason, WalOp, WalRecord,
@@ -101,7 +91,6 @@ pub use evlog::{
 pub use faults::{
     CallOutcome, ChaosCluster, FaultKind, FaultPlan, FaultRates, FaultStream, NodeHealth,
 };
-pub use geo::{GeoMiner, Place};
 pub use health::{
     default_slos, render_scoreboard, AlertEvent, DoctorReport, ExemplarRef, HealthEngine,
     Objective, SloSpec, SloStatus, BURN_CLAMP_MILLI,
@@ -111,8 +100,6 @@ pub use ingest::{IngestStats, Ingestor, RawDocument};
 pub use miner::{
     CorpusMiner, EntityMiner, FaultContext, MinerPipeline, PipelineStats, ShardOutcome,
 };
-pub use pagerank::{pagerank, PageRankConfig, PageRankMiner};
-pub use persist::{load_store, save_store};
 pub use postings::{CompressedPostings, Cursor as PostingsCursor};
 pub use profile::{Hotspot, Profile, ProfileNode};
 pub use query_parser::parse_query;
@@ -122,7 +109,6 @@ pub use serving::{
     LruCache, QueryOutcome, ServeLoop, ServedAnswer, ServedQuery, ServingBackend, ServingConfig,
     ServingReport, CACHE_HIT_COST_MS, DISPATCH_COST_MS,
 };
-pub use stats::{corpus_stats, CorpusStats};
 pub use store::DataStore;
 pub use telemetry::{
     Counter, Exemplar, Gauge, Histogram, HistogramSnapshot, Span, Telemetry, TelemetrySnapshot,

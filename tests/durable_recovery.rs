@@ -19,7 +19,9 @@
 //!    `index.postings_scanned` work.
 //! 4. **Corruption handling** — torn tails, flipped CRCs, and truncated
 //!    snapshots (pinned seeds) stop replay at exactly the last valid
-//!    record, and the node still restarts with the surviving prefix.
+//!    record, and the node still restarts with the surviving prefix;
+//!    loading a whole store (`recover_store`, behind `wfsm query` and
+//!    `wfsm search`) rejects the same damage with an error.
 //! 5. **Golden recovery report** — the `wfsm recover`-style JSON report
 //!    of a pinned corruption scenario matches a checked-in golden byte
 //!    for byte (`UPDATE_GOLDEN=1` regens).
@@ -330,18 +332,10 @@ proptest! {
             }
         }
 
-        let recovered_store = |()| {
-            let fresh = DataStore::new(4).unwrap();
-            for shard in 0..4u32 {
-                let recovery = storage.recover_shard(shard).unwrap();
-                assert_eq!(recovery.stats.stop, StopReason::EndOfLog);
-                for entity in recovery.entities {
-                    fresh.restore_entity(entity);
-                }
-            }
-            fresh
-        };
-        let (first, second) = (recovered_store(()), recovered_store(()));
+        let (first, second) = (
+            storage.recover_store().unwrap(),
+            storage.recover_store().unwrap(),
+        );
         prop_assert_eq!(store_bytes(&first), store_bytes(&second));
         prop_assert_eq!(store_bytes(&first), store_bytes(&store));
 
@@ -431,6 +425,40 @@ fn truncated_snapshot_restart_recovers_valid_prefix() {
     assert_eq!(restart.stats.snapshot_declared, declared);
     assert!(restart.stats.snapshot_entities < declared);
     assert_eq!(restart.stats.stop, StopReason::EndOfLog);
+}
+
+/// Guarantee 4d: loading a whole store is strict. A bad-CRC WAL frame or
+/// a truncated snapshot makes `recover_store` return an error (no
+/// panic, no silently trimmed store), and a directory without the
+/// shard layout is not mistaken for an empty data dir.
+#[test]
+fn recover_store_rejects_corrupt_input() {
+    let (cluster, storage) = durable_cluster();
+    let clean = storage.recover_store().unwrap();
+    assert_eq!(store_bytes(&clean), store_bytes(cluster.store()));
+
+    let mut stream = FaultPlan::new(7).stream("durable:1");
+    storage
+        .inject_corruption(1, CorruptionKind::BadCrc, &mut stream)
+        .unwrap();
+    let err = storage.recover_store().unwrap_err().to_string();
+    assert!(err.contains("shard 1") && err.contains("bad_crc"), "{err}");
+
+    let (_cluster, storage) = durable_cluster();
+    let mut stream = FaultPlan::new(11).stream("durable:3");
+    storage
+        .inject_corruption(3, CorruptionKind::TruncatedSnapshot, &mut stream)
+        .unwrap();
+    let err = storage.recover_store().unwrap_err().to_string();
+    assert!(
+        err.contains("shard 3") && err.contains("snapshot truncated: true"),
+        "{err}"
+    );
+
+    let err = DurableStorage::open_dir("/nonexistent")
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("not a wfsm data dir"), "{err}");
 }
 
 /// Guarantee 5: the recovery report of the pinned bad-CRC scenario

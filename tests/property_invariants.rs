@@ -188,12 +188,10 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// Store persistence round-trips arbitrary entity content.
+    /// Durable checkpoint + recovery round-trips arbitrary entity content.
     #[test]
     fn persist_round_trip(texts in prop::collection::vec("\\PC{0,60}", 0..8)) {
-        use webfountain_sentiment::platform::{
-            load_store, save_store, DataStore, Entity, SourceKind,
-        };
+        use webfountain_sentiment::platform::{DataStore, DurableStorage, Entity, SourceKind};
         let store = DataStore::new(2).unwrap();
         for (i, text) in texts.iter().enumerate() {
             store.insert(
@@ -201,14 +199,9 @@ proptest! {
                     .with_metadata("idx", i.to_string()),
             );
         }
-        let mut path = std::env::temp_dir();
-        path.push(format!(
-            "wf-prop-{}-{}.jsonl",
-            std::process::id(),
-            texts.len()
-        ));
-        save_store(&store, &path).unwrap();
-        let loaded = load_store(&path, 3).unwrap();
+        let storage = DurableStorage::in_memory(2).unwrap();
+        storage.checkpoint(&store).unwrap();
+        let loaded = storage.recover_store().unwrap();
         prop_assert_eq!(loaded.len(), store.len());
         for id in store.ids() {
             let a = store.get(id).unwrap();
@@ -216,7 +209,6 @@ proptest! {
             prop_assert_eq!(&a.text, &b.text);
             prop_assert_eq!(&a.metadata, &b.metadata);
         }
-        std::fs::remove_file(&path).ok();
     }
 
     /// The likelihood-ratio extractor's scores are deterministic across

@@ -413,8 +413,7 @@ const EXPLAIN_QUERIES: [&str; 4] = [
 ];
 
 fn explain_report(store: &DataStore) -> Result<String, String> {
-    let indexer = Indexer::new();
-    store.for_each(|e| indexer.index_entity(e));
+    let indexer = index_store(store);
     let mut out = String::from("\nQUERY PROFILES (EXPLAIN)\n");
     for text in EXPLAIN_QUERIES {
         let query = parse_query(text).map_err(|e| e.to_string())?;
@@ -451,6 +450,15 @@ fn metrics(args: &ParsedArgs) -> Result<String, String> {
     }
 }
 
+/// An inverted index over every stored entity, built in one batch.
+fn index_store(store: &DataStore) -> Indexer {
+    let mut entities = Vec::with_capacity(store.len());
+    store.for_each(|e| entities.push(e.clone()));
+    let indexer = Indexer::new();
+    indexer.index_entities(&entities);
+    indexer
+}
+
 /// Loads the store a `mine` run persisted under `dir`, rejecting a data
 /// dir whose WAL or snapshots do not replay cleanly.
 fn load_data_dir(dir: &str) -> Result<DataStore, String> {
@@ -469,8 +477,7 @@ fn query(args: &ParsedArgs) -> Result<String, String> {
         }
     };
     let store = load_data_dir(dir)?;
-    let indexer = Indexer::new();
-    store.for_each(|e| indexer.index_entity(e));
+    let indexer = index_store(&store);
     let hits = SentimentQueryService::query(&indexer, &store, subject, polarity)
         .map_err(|e| e.to_string())?;
     let mut out = String::new();
@@ -489,8 +496,7 @@ fn search(args: &ParsedArgs) -> Result<String, String> {
     let query_text = args.require("query")?;
     let query = parse_query(query_text).map_err(|e| e.to_string())?;
     let store = load_data_dir(dir)?;
-    let indexer = Indexer::new();
-    store.for_each(|e| indexer.index_entity(e));
+    let indexer = index_store(&store);
     let (docs, profile) = indexer.query_explained(&query).map_err(|e| e.to_string())?;
     let mut out = String::new();
     for doc in &docs {

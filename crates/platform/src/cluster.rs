@@ -410,13 +410,16 @@ impl Cluster {
                 shard_outcomes.push((shard, true, false));
                 span.event(format!("failover:node:{executor}"));
             }
-            let mut indexed_here = 0usize;
-            for id in self.store.shard_ids(NodeId(shard as u32)) {
-                if let Ok(entity) = self.store.get(id) {
-                    self.indexer.index_entity(&entity);
-                    indexed_here += 1;
-                }
-            }
+            // one batch per shard: each posting list is merged once per
+            // shard, and only one shard's entities are held at a time
+            let entities: Vec<Entity> = self
+                .store
+                .shard_ids(NodeId(shard as u32))
+                .into_iter()
+                .filter_map(|id| self.store.get(id).ok())
+                .collect();
+            self.indexer.index_entities(&entities);
+            let indexed_here = entities.len();
             stats.indexed += indexed_here;
             span.attr("indexed", indexed_here.to_string());
             span.finish();
@@ -493,7 +496,7 @@ impl Cluster {
 
     /// Restarts a crashed node from durable state: replays its snapshot
     /// and WAL (repairing any invalid tail), restores the shard's
-    /// entities, incrementally rebuilds the inverted index, and hands
+    /// entities, re-indexes them in one batched merge, and hands
     /// each recovered entity to `on_entity` so callers can rebuild
     /// co-located indices (e.g. the sentiment index). The node comes
     /// back Up; the whole restart is one `cluster.restart_node` trace
@@ -530,13 +533,12 @@ impl Cluster {
         // the shard holds exactly what the durable state says it should
         self.store.drop_shard(node);
         let mut rebuild = root.child("recover.rebuild");
-        let mut reindexed = 0usize;
         for entity in &recovery.entities {
             self.store.restore_entity(entity.clone());
-            self.indexer.index_entity(entity);
             on_entity(entity);
-            reindexed += 1;
         }
+        self.indexer.index_entities(&recovery.entities);
+        let reindexed = recovery.entities.len();
         rebuild.attr("reindexed", reindexed.to_string());
         rebuild.advance(reindexed as u64 * crate::durable::REPLAY_COST_MS);
         root.advance(rebuild.finish());

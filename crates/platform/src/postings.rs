@@ -96,6 +96,20 @@ impl CompressedPostings {
             self.count == 0 || doc.0 > self.last_doc,
             "postings must be pushed in ascending doc order"
         );
+        let mut blob = Vec::with_capacity(positions.len() + 1);
+        write_varint(positions.len() as u64, &mut blob);
+        let mut prev = 0u32;
+        for (i, &p) in positions.iter().enumerate() {
+            let delta = if i == 0 { p } else { p - prev };
+            write_varint(delta as u64, &mut blob);
+            prev = p;
+        }
+        self.push_blob(doc, &blob);
+    }
+
+    /// Appends one entry whose position blob is already encoded; only the
+    /// doc-id delta and the blob length are written afresh.
+    fn push_blob(&mut self, doc: DocId, blob: &[u8]) {
         if self.count > 0 && self.count.is_multiple_of(BLOCK) {
             self.skips.push(Skip {
                 base_doc: self.last_doc,
@@ -107,18 +121,47 @@ impl CompressedPostings {
             doc.0 - if self.count == 0 { 0 } else { self.last_doc },
             &mut self.bytes,
         );
-        let mut blob = Vec::with_capacity(positions.len() + 1);
-        write_varint(positions.len() as u64, &mut blob);
-        let mut prev = 0u32;
-        for (i, &p) in positions.iter().enumerate() {
-            let delta = if i == 0 { p } else { p - prev };
-            write_varint(delta as u64, &mut blob);
-            prev = p;
-        }
         write_varint(blob.len() as u64, &mut self.bytes);
-        self.bytes.extend_from_slice(&blob);
+        self.bytes.extend_from_slice(blob);
         self.last_doc = doc.0;
         self.count += 1;
+    }
+
+    /// The list with `batch` (strictly ascending by doc id) upserted and
+    /// `drop` left out, in one pass over the old list. Entries the batch
+    /// does not replace are copied as their encoded position blobs, so
+    /// the result is byte-identical to decoding, merging and
+    /// re-encoding with [`CompressedPostings::from_entries`].
+    pub fn merged<P: AsRef<[u32]>>(&self, batch: &[(DocId, P)], drop: Option<DocId>) -> Self {
+        let mut out = Self {
+            bytes: Vec::with_capacity(self.bytes.len() + 4 * batch.len()),
+            ..Self::default()
+        };
+        let mut cursor = self.cursor();
+        let mut old = cursor.next();
+        let mut new = batch.iter().peekable();
+        loop {
+            match (old, new.peek()) {
+                (Some(doc), Some((next, positions))) if *next <= doc => {
+                    out.push(*next, positions.as_ref());
+                    if *next == doc {
+                        old = cursor.next();
+                    }
+                    new.next();
+                }
+                (Some(doc), _) => {
+                    if drop != Some(doc) {
+                        out.push_blob(doc, cursor.blob());
+                    }
+                    old = cursor.next();
+                }
+                (None, Some((next, positions))) => {
+                    out.push(*next, positions.as_ref());
+                    new.next();
+                }
+                (None, None) => return out,
+            }
+        }
     }
 
     /// Number of documents in the list.
@@ -261,12 +304,19 @@ impl<'a> Cursor<'a> {
         None
     }
 
+    /// The current entry's encoded position blob (empty when the cursor
+    /// is not parked on an entry).
+    fn blob(&self) -> &'a [u8] {
+        self.current
+            .map_or(&[], |c| &self.postings.bytes[c.blob_start..c.blob_end])
+    }
+
     /// Decodes the positions of the current entry.
     pub fn positions(&self) -> Vec<u32> {
-        let Some(c) = self.current else {
+        if self.current.is_none() {
             return Vec::new();
-        };
-        let blob = &self.postings.bytes[c.blob_start..c.blob_end];
+        }
+        let blob = self.blob();
         let mut pos = 0usize;
         let npos = read_varint(blob, &mut pos).expect("valid blob") as usize;
         let mut out = Vec::with_capacity(npos);
@@ -374,6 +424,131 @@ mod tests {
         let mut full = cp.cursor();
         while full.next().is_some() {}
         assert_eq!(full.scanned(), es.len() as u64);
+    }
+
+    /// The slow path `merged` replaces: decode, merge, re-encode.
+    fn decode_merge_encode(
+        list: &CompressedPostings,
+        batch: &[(DocId, Vec<u32>)],
+        drop: Option<DocId>,
+    ) -> CompressedPostings {
+        let mut es = list.decode();
+        es.retain(|e| Some(e.0) != drop);
+        for (doc, positions) in batch {
+            match es.binary_search_by_key(doc, |e| e.0) {
+                Ok(i) => es[i].1 = positions.clone(),
+                Err(i) => es.insert(i, (*doc, positions.clone())),
+            }
+        }
+        CompressedPostings::from_entries(&es)
+    }
+
+    /// `merged` must equal the slow path field by field: bytes, skip
+    /// table, count and last doc.
+    fn assert_merge_matches(
+        list: &[(DocId, Vec<u32>)],
+        batch: &[(DocId, Vec<u32>)],
+        drop: Option<DocId>,
+    ) {
+        let cp = CompressedPostings::from_entries(list);
+        let fast = cp.merged(batch, drop);
+        let slow = decode_merge_encode(&cp, batch, drop);
+        assert_eq!(
+            fast.bytes, slow.bytes,
+            "bytes for batch {batch:?} drop {drop:?}"
+        );
+        assert_eq!(
+            fast.skips, slow.skips,
+            "skips for batch {batch:?} drop {drop:?}"
+        );
+        assert_eq!(fast, slow);
+    }
+
+    /// Docs `start, start + step, ...` (`n` of them), each with positions
+    /// derived from the doc id so replaced entries are distinguishable.
+    fn run(start: u64, step: u64, n: u64, salt: u32) -> Vec<(DocId, Vec<u32>)> {
+        (0..n)
+            .map(|i| {
+                let d = start + i * step;
+                (DocId(d), vec![salt, salt + 1 + (d % 5) as u32])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn merged_with_empty_batch_is_a_byte_copy() {
+        let list = run(3, 2, 40, 0);
+        assert_merge_matches(&list, &[], None);
+        assert_merge_matches(&[], &[], None);
+        let cp = CompressedPostings::from_entries(&list);
+        assert_eq!(cp.merged::<Vec<u32>>(&[], None), cp);
+    }
+
+    #[test]
+    fn merged_batch_before_after_and_interleaved() {
+        let list = run(100, 4, 20, 0);
+        assert_merge_matches(&list, &run(0, 1, 10, 7), None); // before
+        assert_merge_matches(&list, &run(1_000, 3, 10, 7), None); // after
+        assert_merge_matches(&list, &run(98, 4, 25, 7), None); // interleaved
+        assert_merge_matches(&list, &run(101, 1, 90, 7), None); // dense mix
+        assert_merge_matches(&[], &run(5, 5, 10, 7), None); // into empty
+    }
+
+    #[test]
+    fn merged_batch_replaces_existing_docs() {
+        let list = run(10, 10, 12, 0);
+        // every other existing doc, with new positions
+        let replace: Vec<_> = run(10, 20, 6, 50);
+        assert_merge_matches(&list, &replace, None);
+        // replace all, with some positions emptied
+        let mut all = run(10, 10, 12, 9);
+        all[3].1.clear();
+        assert_merge_matches(&list, &all, None);
+        let merged = CompressedPostings::from_entries(&list).merged(&all, None);
+        assert_eq!(merged.decode(), all);
+    }
+
+    #[test]
+    fn merged_drops_first_last_only_and_absent() {
+        let list = run(4, 3, 10, 0);
+        assert_merge_matches(&list, &[], Some(DocId(4))); // first
+        assert_merge_matches(&list, &[], Some(DocId(31))); // last
+        assert_merge_matches(&list, &[], Some(DocId(5))); // absent, inside
+        assert_merge_matches(&list, &[], Some(DocId(999))); // absent, past end
+        let only = run(8, 1, 1, 0);
+        assert_merge_matches(&only, &[], Some(DocId(8)));
+        assert!(CompressedPostings::from_entries(&only)
+            .merged::<Vec<u32>>(&[], Some(DocId(8)))
+            .is_empty());
+        // drop alongside an upsert elsewhere
+        assert_merge_matches(&list, &run(6, 9, 3, 4), Some(DocId(13)));
+    }
+
+    #[test]
+    fn merged_across_block_boundaries() {
+        let n = BLOCK as u64 * 3 + 5;
+        let list = run(0, 2, n, 0);
+        // odd docs shift every later entry past a block boundary
+        assert_merge_matches(&list, &run(1, 2, n, 3), None);
+        // one entry before the first boundary moves it by one
+        assert_merge_matches(&list, &run(1, 1, 1, 3), None);
+        // dropping an entry pulls the next block's head into this one
+        assert_merge_matches(&list, &[], Some(DocId(2)));
+        assert_merge_matches(&list, &[], Some(DocId(2 * BLOCK as u64)));
+        // a list exactly one block long, then grown past it
+        let block = run(0, 1, BLOCK as u64, 0);
+        assert_merge_matches(&block, &run(BLOCK as u64, 1, 1, 1), None);
+        assert_merge_matches(&block, &[], Some(DocId(BLOCK as u64 - 1)));
+    }
+
+    #[test]
+    fn merged_handles_max_doc_id() {
+        let wide = entries(&[(0, &[3]), (u64::MAX, &[u32::MAX])]);
+        assert_merge_matches(&wide, &entries(&[(1, &[1])]), None);
+        assert_merge_matches(&wide, &entries(&[(u64::MAX, &[0, 9])]), None);
+        assert_merge_matches(&wide, &[], Some(DocId(u64::MAX)));
+        assert_merge_matches(&wide, &[], Some(DocId(0)));
+        assert_merge_matches(&entries(&[(7, &[])]), &entries(&[(u64::MAX, &[2])]), None);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //!
 //! - proptest differentials over arbitrary text and corpus-generated docs
 //!   (tokens, tags, chunks, clauses, entities, sentiment records);
-//! - naive vs compressed index agreement on every query kind;
+//! - naive vs compressed index agreement on every query kind, and batched
+//!   indexing of shuffled chunks vs one-at-a-time indexing;
 //! - varint/delta codec round-trips including edge cases;
 //! - a pruning invariant: skip pointers strictly reduce postings scanned
 //!   on AND queries (observed via `index.postings_scanned`);
@@ -23,9 +24,11 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 use webfountain_sentiment::corpus::{camera_reviews, music_reviews, ReviewConfig, SlotWeights};
 use webfountain_sentiment::nlp::{naive, DocScratch, Pipeline};
-use webfountain_sentiment::platform::{CompressedPostings, Entity, Indexer, Query, SourceKind};
+use webfountain_sentiment::platform::{
+    Annotation, CompressedPostings, Entity, Indexer, Query, SourceKind,
+};
 use webfountain_sentiment::sentiment::SentimentMiner;
-use webfountain_sentiment::types::DocId;
+use webfountain_sentiment::types::{DocId, Span};
 
 fn pipeline() -> &'static Pipeline {
     static PIPELINE: OnceLock<Pipeline> = OnceLock::new();
@@ -221,20 +224,64 @@ fn postings_edge_cases() {
 // Index differentials: compressed + pruned vs naive exhaustive execution
 // ---------------------------------------------------------------------------
 
-/// Indexes `texts` into a fresh indexer (entity ids = position).
+/// One entity per text (ids = position), with a `parity` metadata field
+/// and a `sentiment` annotation whose polarity cycles `+`, `-`, `0`.
+fn corpus_entities(texts: &[String]) -> Vec<Entity> {
+    texts
+        .iter()
+        .enumerate()
+        .map(|(i, text)| {
+            let mut e = Entity::new(format!("uri://{i}"), SourceKind::Web, text.clone())
+                .with_metadata("parity", if i % 2 == 0 { "even" } else { "odd" });
+            e.id = DocId(i as u64);
+            e.annotate(
+                Annotation::new("sentiment", Span::new(0, 1))
+                    .with_attr("polarity", ["+", "-", "0"][i % 3]),
+            );
+            e
+        })
+        .collect()
+}
+
+/// Indexes `texts` into a fresh indexer, one entity at a time in id order.
 fn build_index(texts: &[String], naive: bool) -> Indexer {
     let idx = if naive {
         Indexer::naive()
     } else {
         Indexer::new()
     };
-    for (i, text) in texts.iter().enumerate() {
-        let mut e = Entity::new(format!("uri://{i}"), SourceKind::Web, text.clone())
-            .with_metadata("parity", if i % 2 == 0 { "even" } else { "odd" });
-        e.id = DocId(i as u64);
+    for e in corpus_entities(texts) {
         idx.index_entity(&e);
     }
     idx
+}
+
+/// Indexes `entities` with one `index_entities` call per chunk, the
+/// chunk sizes cycling through `chunks` (each at least 1).
+fn build_index_in_chunks(entities: &[Entity], chunks: &[usize], idx: Indexer) -> Indexer {
+    let mut rest = entities;
+    for &n in chunks.iter().cycle() {
+        if rest.is_empty() {
+            break;
+        }
+        let (chunk, tail) = rest.split_at(n.min(rest.len()));
+        idx.index_entities(chunk);
+        rest = tail;
+    }
+    idx.index_entities(&[]);
+    idx
+}
+
+/// Fisher–Yates shuffle driven by a splitmix64 stream.
+fn shuffle<T>(items: &mut [T], mut state: u64) {
+    for i in (1..items.len()).rev() {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        items.swap(i, (z % (i as u64 + 1)) as usize);
+    }
 }
 
 /// Query workload derived from the corpus itself: frequent words, an absent
@@ -316,6 +363,51 @@ proptest! {
             let slow = naive_idx.query(&query).unwrap();
             prop_assert!(fast == slow, "query {:?} diverged: {:?} vs {:?}", query, fast, slow);
         }
+    }
+}
+
+proptest! {
+    /// Batched indexing of a shuffled corpus in random chunks builds the
+    /// same index as one-at-a-time indexing in id order: the same answers
+    /// as the naive oracle (itself built either way), the same term and
+    /// concept counts, and byte-identical compressed postings.
+    #[test]
+    fn batched_index_matches_sequential_and_naive(
+        seed in 0u64..10_000,
+        order in 0u64..u64::MAX,
+        chunks in prop::collection::vec(1usize..9, 1..12),
+    ) {
+        let texts = corpus_texts(seed);
+        let entities = corpus_entities(&texts);
+        let sequential = build_index(&texts, false);
+        let naive_idx = build_index(&texts, true);
+        let mut shuffled = entities.clone();
+        shuffle(&mut shuffled, order);
+        let batched = build_index_in_chunks(&shuffled, &chunks, Indexer::new());
+        let naive_batched = build_index_in_chunks(&shuffled, &chunks, Indexer::naive());
+
+        let mut queries = workload(&texts);
+        for polarity in ["+", "-", "0"] {
+            queries.push(Query::Concept(format!("sentiment:polarity={polarity}")));
+        }
+        queries.push(Query::Concept("sentiment".into()));
+        for query in queries {
+            let expected = naive_idx.query(&query).unwrap();
+            for (name, idx) in [
+                ("batched", &batched),
+                ("sequential", &sequential),
+                ("naive batched", &naive_batched),
+            ] {
+                let got = idx.query(&query).unwrap();
+                prop_assert!(got == expected, "{} diverged on {:?}: {:?} vs {:?}", name, query, got, expected);
+            }
+        }
+        for idx in [&batched, &sequential, &naive_batched] {
+            prop_assert_eq!(idx.term_count(), naive_idx.term_count());
+            prop_assert_eq!(idx.concept_count(), naive_idx.concept_count());
+            prop_assert_eq!(idx.doc_count(), naive_idx.doc_count());
+        }
+        prop_assert_eq!(batched.postings_bytes(), sequential.postings_bytes());
     }
 }
 

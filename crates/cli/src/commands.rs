@@ -792,7 +792,7 @@ where
 /// one-shot queries or drive the deterministic request loop.
 fn serve(args: &ParsedArgs) -> Result<String, String> {
     use wf_platform::ServingBackend;
-    use wf_sentiment::{SentimentServingBackend, ShardedSentimentIndex};
+    use wf_sentiment::{SentimentServingBackend, ServeRequest, ShardedSentimentIndex};
 
     let docs: usize = parse_positive(args, "docs", 40usize)?;
     let chaos_seed: Option<u64> = args
@@ -838,18 +838,24 @@ fn serve(args: &ParsedArgs) -> Result<String, String> {
     let subjects = index.subjects().len();
     let backend = SentimentServingBackend::new(index);
 
-    // one-shot query paths
-    if let Some(subject) = args.opt("subject") {
-        let answer = backend
-            .execute(&format!("sentiment of {subject}"))
-            .map_err(|e| e.to_string())?;
-        return Ok(match format {
-            "json" => answer.body + "\n",
-            _ => {
+    // one-shot query paths: the text form renders the request as
+    // `execute` parsed it (subject trimmed and lowercased)
+    let one_shot = match (args.opt("subject"), args.opt("top")) {
+        (Some(subject), _) => Some(format!("sentiment of {subject}")),
+        (None, Some(k)) => Some(format!("top {k} {}", args.opt("polarity").unwrap_or("+"))),
+        (None, None) => None,
+    };
+    if let Some(request) = one_shot {
+        let answer = backend.execute(&request).map_err(|e| e.to_string())?;
+        if format == "json" {
+            return Ok(answer.body + "\n");
+        }
+        let text = match ServeRequest::parse(&request).expect("execute parsed the request") {
+            ServeRequest::Subject(subject) => {
                 let summary = backend
                     .index()
-                    .summary(&subject.to_lowercase())
-                    .expect("execute succeeded");
+                    .summary(&subject)
+                    .expect("execute found the subject");
                 format!(
                     "{}: {} positive, {} negative, {} neutral (net {:+}) over {} posting(s)\n",
                     summary.subject,
@@ -860,18 +866,7 @@ fn serve(args: &ParsedArgs) -> Result<String, String> {
                     summary.total()
                 )
             }
-        });
-    }
-    if let Some(k) = args.opt("top") {
-        let polarity = args.opt("polarity").unwrap_or("+");
-        let answer = backend
-            .execute(&format!("top {k} {polarity}"))
-            .map_err(|e| e.to_string())?;
-        return Ok(match format {
-            "json" => answer.body + "\n",
-            _ => {
-                let k: usize = k.parse().expect("execute validated k");
-                let polarity = Polarity::parse(polarity).expect("execute validated polarity");
+            ServeRequest::TopK(k, polarity) => {
                 let mut out = format!("top {k} by {polarity}:\n");
                 for (rank, s) in backend.index().top_k(k, polarity).iter().enumerate() {
                     out.push_str(&format!(
@@ -884,7 +879,8 @@ fn serve(args: &ParsedArgs) -> Result<String, String> {
                 }
                 out
             }
-        });
+        };
+        return Ok(text);
     }
 
     // request-loop mode
@@ -2005,10 +2001,37 @@ mod tests {
     }
 
     #[test]
+    fn serve_one_shot_subject_is_normalised_in_both_formats() {
+        for format in ["text", "json"] {
+            let outputs: Vec<String> = [" Canon ", "CANON", "canon"]
+                .iter()
+                .map(|subject| {
+                    run_tokens(&[
+                        "serve",
+                        "--docs",
+                        "20",
+                        "--subject",
+                        subject,
+                        "--format",
+                        format,
+                    ])
+                    .unwrap()
+                })
+                .collect();
+            assert!(outputs[0].contains("canon"), "{}", outputs[0]);
+            assert_eq!(outputs[0], outputs[1], "{format}");
+            assert_eq!(outputs[1], outputs[2], "{format}");
+        }
+    }
+
+    #[test]
     fn serve_one_shot_top_k() {
         let out = run_tokens(&["serve", "--docs", "20", "--top", "2", "--polarity", "-"]).unwrap();
         assert!(out.contains("top 2 by -"), "{out}");
         assert!(out.contains("1."), "{out}");
+        let padded =
+            run_tokens(&["serve", "--docs", "20", "--top", " 2", "--polarity", " -"]).unwrap();
+        assert_eq!(padded, out, "the text form renders the parsed request");
     }
 
     #[test]

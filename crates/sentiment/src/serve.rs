@@ -9,9 +9,12 @@
 //!   polarity;
 //!
 //! as canonical JSON bodies (pure functions of the index content, so a
-//! serving-cache hit is byte-identical to recomputation). Simulated cost
-//! is derived from postings actually scanned, so bigger subjects cost
-//! more — exactly the shape a latency SLO wants to watch.
+//! serving-cache hit is byte-identical to recomputation). Both are read
+//! from the index's maintained polarity tallies, so real time per answer
+//! does not grow with a subject's postings. The simulated cost model
+//! still charges a subject answer its posting count and a top-k answer
+//! the index's total posting count, so bigger subjects cost more —
+//! exactly the shape a latency SLO wants to watch.
 //!
 //! Each index shard carries a [`NodeHealth`]; both query forms fan out
 //! over every shard (a subject's postings may live anywhere), so one
@@ -106,25 +109,21 @@ impl SentimentServingBackend {
     }
 
     fn subject_answer(&self, subject: &str) -> Result<(Value, u64)> {
-        let postings = self.index.merged_postings(subject);
-        if postings.is_empty() {
-            return Err(Error::NotFound(format!(
-                "subject {subject:?} not in sentiment index"
-            )));
-        }
-        let summary = self.index.summary(subject).expect("postings imply summary");
+        let summary = self.index.summary(subject).ok_or_else(|| {
+            Error::NotFound(format!("subject {subject:?} not in sentiment index"))
+        })?;
         let mut o = BTreeMap::new();
         o.insert("negative".to_string(), Value::from(summary.negative));
         o.insert("net".to_string(), Value::from(summary.net()));
         o.insert("neutral".to_string(), Value::from(summary.neutral));
         o.insert("positive".to_string(), Value::from(summary.positive));
-        o.insert("postings".to_string(), Value::from(postings.len() as u64));
+        o.insert("postings".to_string(), Value::from(summary.total()));
         o.insert("subject".to_string(), Value::from(subject));
-        Ok((Value::Object(o), postings.len() as u64))
+        Ok((Value::Object(o), summary.total()))
     }
 
-    /// Shared query resolution: `(body, postings scanned, degraded
-    /// shards)` — the error paths (`Query`/`Unavailable`/`NotFound`) are
+    /// Shared query resolution: `(body, postings the cost model
+    /// charges, degraded shards)` — the error paths (`Query`/`Unavailable`/`NotFound`) are
     /// identical for the traced and untraced execute.
     fn resolve(&self, request: &str) -> Result<(Value, u64, usize)> {
         let parsed = ServeRequest::parse(request)?;
@@ -142,8 +141,8 @@ impl SentimentServingBackend {
         Ok((body, scanned, degraded))
     }
 
-    /// Postings each shard contributes to `request`, in shard order —
-    /// what the fanout stage span reports.
+    /// Postings each shard contributes to `request`'s charge, in shard
+    /// order — what the fanout stage span reports.
     fn per_shard_scanned(&self, request: &str) -> Vec<usize> {
         match ServeRequest::parse(request) {
             Ok(ServeRequest::Subject(subject)) => (0..self.index.shard_count())
@@ -171,7 +170,7 @@ impl SentimentServingBackend {
         let mut o = BTreeMap::new();
         o.insert("polarity".to_string(), Value::from(polarity.to_string()));
         o.insert("top".to_string(), Value::Array(top));
-        // a tally scan touches every posting on every shard
+        // the cost model charges every posting on every shard
         (Value::Object(o), self.index.posting_count() as u64)
     }
 }
@@ -188,7 +187,7 @@ impl ServingBackend for SentimentServingBackend {
 
     /// Same answer and cost as [`ServingBackend::execute`], with the cost
     /// attributed to stage spans: `shard_fanout` carries the per-shard
-    /// postings scan (plus the degraded-shard penalty), `postings_merge`
+    /// postings charge (plus the degraded-shard penalty), `postings_merge`
     /// the k-way combine (free in the cost model; recorded for count).
     fn execute_traced(&self, request: &str, span: &mut TraceSpan) -> Result<ServedAnswer> {
         let (body, scanned, degraded) = self.resolve(request)?;
@@ -288,7 +287,7 @@ mod tests {
         assert!(a.body.contains("\"positive\":2"), "{}", a.body);
         assert!(a.body.contains("\"negative\":1"), "{}", a.body);
         assert!(a.body.contains("\"net\":1"), "{}", a.body);
-        assert_eq!(a.cost_sim_ms, 3, "cost follows postings scanned");
+        assert_eq!(a.cost_sim_ms, 3, "cost follows the subject's postings");
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //! folds those annotations into polarity **postings** sharded the same
 //! way the [`wf_platform::DataStore`] shards documents, so each cluster
 //! node holds the sentiment postings for exactly the documents it owns.
-//! Query time then never touches the NLP stack: "sentiment of X" is a
-//! fan-out over per-shard `BTreeMap` lookups plus a deterministic merge,
-//! and "top-k by polarity" is a tally scan — the paper's "real time
-//! response" requirement, made concrete.
+//! Alongside the postings the index maintains one cluster-wide polarity
+//! tally per subject, updated as postings are added and cleared. Query
+//! time then never touches the NLP stack or the postings: "sentiment of
+//! X" is one tally lookup and "top-k by polarity" ranks the tallies —
+//! the paper's "real time response" requirement, made concrete.
 //!
 //! The shard-merge invariant (see `tests/serving.rs`): building the index
 //! over an N-shard store and merging per-shard postings yields exactly
@@ -87,10 +88,6 @@ impl SentimentIndexShard {
         self.postings.get(subject).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    pub fn subjects(&self) -> impl Iterator<Item = &str> {
-        self.postings.keys().map(String::as_str)
-    }
-
     pub fn posting_count(&self) -> usize {
         self.posting_count
     }
@@ -107,11 +104,33 @@ impl SentimentIndexShard {
     }
 }
 
+/// Position of a polarity's count in a tally.
+fn tally_slot(polarity: Polarity) -> usize {
+    match polarity {
+        Polarity::Positive => 0,
+        Polarity::Negative => 1,
+        Polarity::Neutral => 2,
+    }
+}
+
+fn summary_of(subject: &str, tally: &[u64; 3]) -> SubjectSummary {
+    SubjectSummary {
+        subject: subject.to_string(),
+        positive: tally[0],
+        negative: tally[1],
+        neutral: tally[2],
+    }
+}
+
 /// The cluster-wide sentiment index: one [`SentimentIndexShard`] per
 /// store shard, co-located with `platform::index` on each node.
 #[derive(Debug, Clone)]
 pub struct ShardedSentimentIndex {
     shards: Vec<SentimentIndexShard>,
+    /// Positive / negative / neutral postings per subject across every
+    /// shard; a subject is a key exactly while some shard holds a
+    /// posting for it.
+    tallies: BTreeMap<String, [u64; 3]>,
 }
 
 impl ShardedSentimentIndex {
@@ -120,6 +139,7 @@ impl ShardedSentimentIndex {
     pub fn new(shard_count: usize) -> Self {
         ShardedSentimentIndex {
             shards: vec![SentimentIndexShard::default(); shard_count.max(1)],
+            tallies: BTreeMap::new(),
         }
     }
 
@@ -146,10 +166,20 @@ impl ShardedSentimentIndex {
             let Some(polarity) = Polarity::parse(polarity) else {
                 continue;
             };
+            let subject = subject.to_lowercase();
+            // look up first: `entry` would clone the subject per posting
+            match self.tallies.get_mut(&subject) {
+                Some(tally) => tally[tally_slot(polarity)] += 1,
+                None => {
+                    let mut tally = [0; 3];
+                    tally[tally_slot(polarity)] = 1;
+                    self.tallies.insert(subject.clone(), tally);
+                }
+            }
             self.shards[slot].add(SentimentPosting {
                 doc: entity.id,
                 shard,
-                subject: subject.to_lowercase(),
+                subject,
                 polarity,
                 sentence_span: ann.span,
                 sentence: ann.span.slice(&entity.text).trim().to_string(),
@@ -158,12 +188,24 @@ impl ShardedSentimentIndex {
     }
 
     /// Drops one shard's postings (its node crashed), returning how
-    /// many were lost. Out-of-range shards clamp like `add_entity`.
+    /// many were lost, and takes them out of the tallies. Out-of-range
+    /// shards clamp like `add_entity`.
     pub fn clear_shard(&mut self, shard: u32) -> usize {
         let slot = (shard as usize).min(self.shards.len() - 1);
-        let dropped = self.shards[slot].posting_count;
-        self.shards[slot] = SentimentIndexShard::default();
-        dropped
+        let cleared = std::mem::take(&mut self.shards[slot]);
+        for (subject, postings) in &cleared.postings {
+            let tally = self
+                .tallies
+                .get_mut(subject)
+                .expect("every posting is tallied");
+            for posting in postings {
+                tally[tally_slot(posting.polarity)] -= 1;
+            }
+            if tally.iter().all(|&n| n == 0) {
+                self.tallies.remove(subject);
+            }
+        }
+        cleared.posting_count
     }
 
     /// Rebuilds one shard from recovered entities (clear + re-add): the
@@ -198,18 +240,11 @@ impl ShardedSentimentIndex {
 
     /// All indexed subjects, deduplicated and sorted.
     pub fn subjects(&self) -> Vec<String> {
-        let mut all: Vec<String> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.subjects().map(str::to_string))
-            .collect();
-        all.sort();
-        all.dedup();
-        all
+        self.tallies.keys().cloned().collect()
     }
 
     /// One subject's postings merged across shards in deterministic
-    /// (doc, span) order — the serving tier's fan-out + merge.
+    /// (doc, span) order — what the shard-merge invariant compares.
     pub fn merged_postings(&self, subject: &str) -> Vec<SentimentPosting> {
         let mut merged: Vec<SentimentPosting> = self
             .shards
@@ -220,55 +255,26 @@ impl ShardedSentimentIndex {
         merged
     }
 
-    /// Polarity tallies for one subject, or `None` when it was never
-    /// mined.
+    /// Polarity tallies for one subject, or `None` when no shard holds
+    /// a posting for it.
     pub fn summary(&self, subject: &str) -> Option<SubjectSummary> {
-        let mut summary = SubjectSummary {
-            subject: subject.to_string(),
-            ..SubjectSummary::default()
-        };
-        let mut seen = false;
-        for shard in &self.shards {
-            for posting in shard.postings(subject) {
-                seen = true;
-                match posting.polarity {
-                    Polarity::Positive => summary.positive += 1,
-                    Polarity::Negative => summary.negative += 1,
-                    Polarity::Neutral => summary.neutral += 1,
-                }
-            }
-        }
-        seen.then_some(summary)
+        self.tallies
+            .get(subject)
+            .map(|tally| summary_of(subject, tally))
     }
 
     /// The `k` subjects with the most `polarity` mentions (count
     /// descending, subject ascending on ties) — the Sifaka-style
     /// analytics surface.
     pub fn top_k(&self, k: usize, polarity: Polarity) -> Vec<SubjectSummary> {
-        let mut tallies: BTreeMap<&str, SubjectSummary> = BTreeMap::new();
-        for shard in &self.shards {
-            for (subject, postings) in &shard.postings {
-                let entry = tallies.entry(subject).or_insert_with(|| SubjectSummary {
-                    subject: subject.clone(),
-                    ..SubjectSummary::default()
-                });
-                for posting in postings {
-                    match posting.polarity {
-                        Polarity::Positive => entry.positive += 1,
-                        Polarity::Negative => entry.negative += 1,
-                        Polarity::Neutral => entry.neutral += 1,
-                    }
-                }
-            }
-        }
-        let mut ranked: Vec<SubjectSummary> = tallies.into_values().collect();
-        ranked.sort_by(|a, b| {
-            b.count(polarity)
-                .cmp(&a.count(polarity))
-                .then_with(|| a.subject.cmp(&b.subject))
-        });
-        ranked.truncate(k);
+        let mut ranked: Vec<(&String, &[u64; 3])> = self.tallies.iter().collect();
+        // stable: equal counts keep the map's ascending subject order
+        ranked.sort_by_key(|(_, tally)| std::cmp::Reverse(tally[tally_slot(polarity)]));
         ranked
+            .into_iter()
+            .take(k)
+            .map(|(subject, tally)| summary_of(subject, tally))
+            .collect()
     }
 }
 

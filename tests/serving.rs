@@ -19,15 +19,23 @@
 //! 5. **SLO wiring** — the serving-latency SLO from `default_slos()`
 //!    fires under the chaos scenario, so `wfsm doctor` observes the
 //!    serving tier like any other subsystem.
+//! 6. **Tallies equal a recount** (property) — after any sequence of
+//!    entity adds, shard clears and shard rebuilds, the index's
+//!    maintained polarity tallies answer `summary`, `top_k`, `subjects`
+//!    and `sentiment of X` exactly as a recount of the postings would.
+//! 7. **Answer time is flat in posting count** — a subject answer and a
+//!    top-k answer take about as long when the head subject has 16×
+//!    the postings.
 
 use proptest::prelude::*;
 use std::sync::Arc;
+use std::time::Instant;
 use wf_platform::{
     default_slos, Annotation, DataStore, Entity, FaultPlan, HealthEngine, NodeHealth, ServeLoop,
     ServingBackend, ServingConfig, SourceKind, Telemetry, TelemetrySnapshot,
 };
-use wf_sentiment::{SentimentServingBackend, ShardedSentimentIndex};
-use wf_types::{Polarity, Span};
+use wf_sentiment::{SentimentServingBackend, ShardedSentimentIndex, SubjectSummary};
+use wf_types::{DocId, Error, Polarity, Span};
 
 const SUBJECTS: [&str; 4] = ["alpha", "beta", "gamma", "delta"];
 const POLARITIES: [Polarity; 3] = [Polarity::Positive, Polarity::Negative, Polarity::Neutral];
@@ -90,6 +98,44 @@ fn serving_snapshot_json(snapshot: &TelemetrySnapshot) -> String {
         }
     }
     filtered.to_json_string() + "\n"
+}
+
+/// One entity with one `sentiment` annotation per mark, each over its
+/// own 10-byte slice of the text.
+fn marked_entity(id: u64, marks: &[usize]) -> Entity {
+    let text = "0123456789".repeat(marks.len().max(1));
+    let mut entity = Entity::new(format!("test://tally/{id}"), SourceKind::Web, &text);
+    entity.id = DocId(id);
+    for (i, &mark) in marks.iter().enumerate() {
+        let (subject, polarity) = decode(mark);
+        entity.annotate(
+            Annotation::new("sentiment", Span::new(i * 10, i * 10 + 10))
+                .with_attr("subject", subject.to_string())
+                .with_attr("polarity", polarity.to_string()),
+        );
+    }
+    entity
+}
+
+/// Every subject's polarity counts, recounted from its merged postings;
+/// subjects without postings are left out.
+fn recount(index: &ShardedSentimentIndex) -> Vec<SubjectSummary> {
+    let mut counts = Vec::new();
+    for subject in SUBJECTS {
+        let postings = index.merged_postings(subject);
+        if postings.is_empty() {
+            continue;
+        }
+        let count = |p: Polarity| postings.iter().filter(|x| x.polarity == p).count() as u64;
+        counts.push(SubjectSummary {
+            subject: subject.to_string(),
+            positive: count(Polarity::Positive),
+            negative: count(Polarity::Negative),
+            neutral: count(Polarity::Neutral),
+        });
+    }
+    counts.sort_by(|a, b| a.subject.cmp(&b.subject));
+    counts
 }
 
 proptest! {
@@ -160,6 +206,99 @@ proptest! {
         }
         for polarity in POLARITIES {
             prop_assert_eq!(sharded.top_k(3, polarity), single.top_k(3, polarity));
+        }
+    }
+
+    /// Tally invariant: after every step of a random history of adds
+    /// (op 0), shard clears (op 1) and shard rebuilds (op 2), the
+    /// maintained tallies equal a recount of the postings — summaries,
+    /// every top-k ranking, the subject list and the served bodies.
+    /// Shard 4 exercises the out-of-range clamp.
+    #[test]
+    fn tallies_equal_a_recount_of_the_postings(
+        four_shards in 0usize..2,
+        ops in prop::collection::vec(
+            (0usize..3, 0u32..5, prop::collection::vec(0usize..12, 0..4)),
+            1..24,
+        ),
+    ) {
+        let mut index = ShardedSentimentIndex::new(if four_shards == 1 { 4 } else { 1 });
+        let mut next_id = 0u64;
+        // one entity per pair of marks, so a rebuild sees several
+        let mut entities_of = |marks: &[usize]| -> Vec<Entity> {
+            marks
+                .chunks(2)
+                .map(|chunk| {
+                    next_id += 1;
+                    marked_entity(next_id, chunk)
+                })
+                .collect()
+        };
+        for (op, shard, marks) in &ops {
+            match op {
+                0 => {
+                    for entity in entities_of(marks) {
+                        index.add_entity(&entity, *shard);
+                    }
+                }
+                1 => {
+                    index.clear_shard(*shard);
+                }
+                _ => {
+                    index.rebuild_shard(*shard, &entities_of(marks));
+                }
+            }
+            let expected = recount(&index);
+            prop_assert_eq!(
+                expected.iter().map(SubjectSummary::total).sum::<u64>(),
+                index.posting_count() as u64
+            );
+            let names: Vec<String> = expected.iter().map(|s| s.subject.clone()).collect();
+            prop_assert_eq!(index.subjects(), names);
+            for subject in SUBJECTS {
+                prop_assert_eq!(
+                    index.summary(subject),
+                    expected.iter().find(|s| s.subject == subject).cloned()
+                );
+            }
+            for polarity in POLARITIES {
+                let mut ranked = expected.clone();
+                ranked.sort_by(|a, b| {
+                    b.count(polarity)
+                        .cmp(&a.count(polarity))
+                        .then_with(|| a.subject.cmp(&b.subject))
+                });
+                for k in 1..=SUBJECTS.len() + 1 {
+                    let top: Vec<SubjectSummary> = ranked.iter().take(k).cloned().collect();
+                    prop_assert_eq!(index.top_k(k, polarity), top);
+                }
+            }
+            let backend = SentimentServingBackend::new(index.clone());
+            for subject in SUBJECTS {
+                let answer = backend.execute(&format!("sentiment of {subject}"));
+                match expected.iter().find(|s| s.subject == subject) {
+                    Some(s) => {
+                        let answer = answer.unwrap();
+                        let body = format!(
+                            "{{\"negative\":{},\"net\":{},\"neutral\":{},\"positive\":{},\
+                             \"postings\":{},\"subject\":\"{}\"}}",
+                            s.negative,
+                            s.net(),
+                            s.neutral,
+                            s.positive,
+                            s.total(),
+                            s.subject
+                        );
+                        prop_assert_eq!(answer.body, body);
+                        prop_assert_eq!(answer.cost_sim_ms, s.total());
+                    }
+                    None => prop_assert!(
+                        matches!(answer, Err(Error::NotFound(_))),
+                        "{subject} has no postings: {:?}",
+                        answer
+                    ),
+                }
+            }
         }
     }
 }
@@ -329,4 +468,70 @@ fn serving_slo_fires_under_chaos() {
         status.iter().any(|s| s.name == "serving-error-rate"),
         "default_slos carries the serving error-rate SLO"
     );
+}
+
+/// A 4-shard index with eight subjects: the head subject carries
+/// `head_postings` positive postings (16 per document), the other seven
+/// carry 10 each.
+fn head_heavy_index(head_postings: usize) -> ShardedSentimentIndex {
+    let mut index = ShardedSentimentIndex::new(4);
+    let mut add = |id: u64, subject: &str, polarity: Polarity, marks: usize| {
+        let text = "0123456789".repeat(marks);
+        let mut entity = Entity::new(format!("test://scaling/{id}"), SourceKind::Web, &text);
+        entity.id = DocId(id);
+        for i in 0..marks {
+            entity.annotate(
+                Annotation::new("sentiment", Span::new(i * 10, i * 10 + 10))
+                    .with_attr("subject", subject.to_string())
+                    .with_attr("polarity", polarity.to_string()),
+            );
+        }
+        index.add_entity(&entity, (id % 4) as u32);
+    };
+    for (i, subject) in ["c1", "c2", "c3", "c4", "c5", "c6", "c7"]
+        .iter()
+        .enumerate()
+    {
+        add(i as u64, subject, POLARITIES[i % 3], 10);
+    }
+    for doc in 0..head_postings / 16 {
+        add(100 + doc as u64, "head", Polarity::Positive, 16);
+    }
+    index
+}
+
+/// Minimum over several runs of the time to answer each request 50 times.
+fn answer_secs(backend: &SentimentServingBackend, request: &str) -> f64 {
+    (0..5)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..50 {
+                backend.execute(request).unwrap();
+            }
+            start.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Mode B answers in real time: neither a subject answer nor a top-k
+/// answer may grow with the head subject's posting count. Per-request
+/// work proportional to the postings would give a ratio near 16.
+#[test]
+fn answer_time_is_flat_in_posting_count() {
+    const N: usize = 2_000;
+    let small = SentimentServingBackend::new(head_heavy_index(N));
+    let large = SentimentServingBackend::new(head_heavy_index(16 * N));
+    assert_eq!(small.index().subjects(), large.index().subjects());
+    for request in ["sentiment of head", "top 3 +"] {
+        let t_small = answer_secs(&small, request);
+        let t_large = answer_secs(&large, request);
+        let ratio = t_large / t_small;
+        println!("{request:?}: {N} postings {t_small:.6} s, 16x {t_large:.6} s, ratio {ratio:.2}");
+        assert!(
+            ratio <= 4.0,
+            "{request:?} grew with the head subject's postings: {N} postings {t_small:.6} s, \
+             {} postings {t_large:.6} s, ratio {ratio:.1} (flat ≈ 1, linear ≈ 16)",
+            16 * N
+        );
+    }
 }

@@ -1,7 +1,7 @@
 //! Trace-overhead benchmark: the same pipeline workload run under three
 //! tracing configurations — recorder disabled (capacity 0), the default
-//! flight-recorder ring, and ring plus a full three-format export per
-//! run — so the cost of causal tracing is measured, not guessed.
+//! flight-recorder ring, and ring plus a three-format export of each
+//! run's trace — so the cost of causal tracing is measured, not guessed.
 //!
 //! Run with `cargo bench -p wf-bench --bench trace`; writes
 //! `artifacts/BENCH_trace.json` under the workspace root.
@@ -32,8 +32,12 @@ const SEED: u64 = 20050405;
 
 /// Runs the pipeline `RUNS` times against a fresh store whose recorder
 /// holds `capacity` spans; when `export` is set, every run also renders
-/// the JSON, Chrome and waterfall exports. Returns (wall_us, spans,
-/// evicted, exported_bytes).
+/// the JSON, Chrome and waterfall exports of its own trace. Returns
+/// (wall_us, spans, evicted, exported_bytes).
+///
+/// Only the latest trace is exported: one run's ≈4,000 spans fit the
+/// ring whole, while an older trace is partly evicted, and which of its
+/// spans survive depends on how the shard threads interleaved.
 fn workload(capacity: usize, export: bool) -> (u64, u64, u64, u64) {
     let telemetry = Telemetry::with_trace_capacity(capacity);
     let store = DataStore::with_telemetry(SHARDS, Arc::clone(&telemetry)).unwrap();
@@ -57,9 +61,9 @@ fn workload(capacity: usize, export: bool) -> (u64, u64, u64, u64) {
         pipeline.run_with(&store, &ctx);
         if export {
             let rec = telemetry.recorder();
-            exported_bytes += rec.export_json_string(8).len() as u64;
-            exported_bytes += rec.export_chrome_string(8).len() as u64;
-            exported_bytes += rec.export_text(8).len() as u64;
+            exported_bytes += rec.export_json_string(1).len() as u64;
+            exported_bytes += rec.export_chrome_string(1).len() as u64;
+            exported_bytes += rec.export_text(1).len() as u64;
         }
     }
     let wall_us = t0.elapsed().as_micros() as u64;

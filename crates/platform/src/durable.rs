@@ -60,17 +60,33 @@ pub const SNAPSHOT_ENTITY_COST_MS: u64 = 1;
 /// Data records between automatic fsync-point markers.
 pub const DEFAULT_FSYNC_INTERVAL: u64 = 16;
 
-/// CRC-32 (IEEE 802.3, reflected) over `bytes` — the WAL frame checksum.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Reflected CRC-32 polynomial (IEEE 802.3).
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// `CRC32_TABLE[i]` is the CRC register after shifting the byte `i`
+/// through eight bitwise steps, so one lookup replaces that loop.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        table[i] = crc;
+        i += 1;
     }
-    !crc
+    table
+};
+
+/// CRC-32 (IEEE 802.3, reflected) over `bytes` — the WAL frame checksum.
+/// Table-driven: one lookup per byte.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    !bytes.iter().fold(0xFFFF_FFFFu32, |crc, &b| {
+        CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8)
+    })
 }
 
 /// One logged mutation. Insert/Update carry the full post-state so
@@ -1237,6 +1253,7 @@ pub struct SnapshotStats {
 mod tests {
     use super::*;
     use crate::entity::SourceKind;
+    use proptest::prelude::*;
 
     fn entity(id: u64, text: &str) -> Entity {
         let mut e = Entity::new(format!("uri://{id}"), SourceKind::Web, text);
@@ -1251,6 +1268,27 @@ mod tests {
             storage.log(0, WalOp::Insert(entity(i, &format!("doc {i}"))));
         }
         storage
+    }
+
+    /// The bit-at-a-time CRC-32 the table is built from: the oracle
+    /// `crc32` is checked against.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc ^= b as u32;
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC32_POLY & mask);
+            }
+        }
+        !crc
+    }
+
+    proptest! {
+        #[test]
+        fn crc32_table_matches_bitwise(bytes in prop::collection::vec(0u8..=255, 0..4096)) {
+            prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+        }
     }
 
     #[test]

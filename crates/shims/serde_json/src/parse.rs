@@ -1,12 +1,23 @@
 //! Recursive-descent JSON parser producing [`Value`] trees.
+//!
+//! Every input byte is visited a constant number of times: a string's
+//! unescaped runs are copied whole, and nesting is bounded by
+//! [`MAX_DEPTH`] so hostile input returns an error instead of
+//! overflowing the stack.
 
 use serde::{Error, Number, Value};
 use std::collections::BTreeMap;
 
+/// Arrays and objects nested deeper than this are rejected (the limit
+/// serde_json applies by default).
+const MAX_DEPTH: usize = 128;
+
 pub fn parse(input: &str) -> Result<Value, Error> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -18,8 +29,11 @@ pub fn parse(input: &str) -> Result<Value, Error> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -52,11 +66,23 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.string().map(Value::String),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, failing past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("recursion limit exceeded"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -120,13 +146,22 @@ impl<'a> Parser<'a> {
         self.pos += 1; // consume '"'
         let mut out = String::new();
         loop {
+            // copy the run of unescaped bytes up to the next '"' or '\\'
+            // whole: both are ASCII, so the run ends on a char boundary
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .map_or(self.bytes.len(), |n| self.pos + n);
+            out.push_str(&self.input[self.pos..run]);
+            self.pos = run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                // the run stopped at a '\\'
+                Some(_) => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -164,15 +199,6 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("invalid escape")),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // decode one UTF-8 scalar from the raw bytes
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().expect("non-empty checked above");
-                    out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
@@ -274,6 +300,25 @@ mod tests {
     fn control_chars_escaped_and_parsed() {
         let original = Value::String("\u{0001}\u{001f}".into());
         assert_eq!(parse(&original.to_json_string()).unwrap(), original);
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err().to_string();
+        assert_eq!(err, format!("recursion limit exceeded at byte {MAX_DEPTH}"));
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
+        // far past the bound: an error, not a stack overflow
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        // siblings do not add up: depth is what is open, not what was seen
+        let wide = format!("[{}]", vec![nest(MAX_DEPTH - 1); 3].join(","));
+        assert!(parse(&wide).is_ok());
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //!    snapshots (pinned seeds) stop replay at exactly the last valid
 //!    record, and the node still restarts with the surviving prefix;
 //!    loading a whole store (`recover_store`, behind `wfsm query` and
-//!    `wfsm search`) rejects the same damage with an error.
+//!    `wfsm search`) rejects the same damage with an error, and a snapshot
+//!    line nested past the parser's depth bound is truncation, not a
+//!    crash.
 //! 5. **Golden recovery report** — the `wfsm recover`-style JSON report
 //!    of a pinned corruption scenario matches a checked-in golden byte
 //!    for byte (`UPDATE_GOLDEN=1` regens).
@@ -459,6 +461,43 @@ fn recover_store_rejects_corrupt_input() {
         .unwrap_err()
         .to_string();
     assert!(err.contains("not a wfsm data dir"), "{err}");
+}
+
+/// Guarantee 4e: snapshots carry no CRC, so their bytes can be anything.
+/// A line nested 200,000 arrays deep is a truncated snapshot (the prefix
+/// before it survives), not a stack overflow that aborts `wfsm recover`.
+#[test]
+fn deeply_nested_snapshot_line_is_truncation_not_a_crash() {
+    let dir = std::env::temp_dir().join(format!("wf-nested-snapshot-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let store = DataStore::new(2).unwrap();
+        let storage = Arc::new(DurableStorage::at_dir(&dir, 2).unwrap());
+        store.attach_durability(Arc::clone(&storage)).unwrap();
+        Ingestor::new(&store).ingest_batch(corpus(8));
+        storage.checkpoint(&store).unwrap();
+    }
+    // keep the header and the first entity, then the hostile line
+    let path = dir.join("shard-000").join("snapshot.jsonl");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let mut damaged: String = text.split_inclusive('\n').take(2).collect();
+    damaged.push_str(&"[".repeat(200_000));
+    damaged.push('\n');
+    std::fs::write(&path, damaged).unwrap();
+
+    let storage = DurableStorage::open_dir(&dir).unwrap();
+    let report = storage.recovery_report().unwrap();
+    let shard = &report.shards[0];
+    assert!(shard.snapshot_truncated);
+    assert_eq!(shard.snapshot_entities, 1);
+    assert_eq!(shard.snapshot_declared, 4);
+    assert!(!report.shards[1].snapshot_truncated);
+    let err = storage.recover_store().unwrap_err().to_string();
+    assert!(
+        err.contains("shard 0") && err.contains("snapshot truncated: true"),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Guarantee 5: the recovery report of the pinned bad-CRC scenario
